@@ -414,6 +414,7 @@ void expand_sweep(const JsonValue& sweep, const RunDefaults& manifest_defaults,
         if (defaults.churn_enabled) {
           item.churn_enabled = true;
           item.churn = defaults.churn;
+          item.churn.quiescence_patience = defaults.run.quiescence_patience;
           // Registry-backed factory so churn windows can rebuild the
           // protocol on churned topologies (and so every churn trial runs
           // the owning-mode runner uniformly). Captures the whole

@@ -78,7 +78,9 @@
 ///
 /// A sweep-level "churn" replaces an inherited defaults-level block
 /// wholesale; "churn": null disables churn for that sweep. "extra_steps"
-/// cannot be combined with churn mode.
+/// cannot be combined with churn mode. The run key "quiescence_patience"
+/// also paces the silence certification of a churn trial's initial
+/// stabilization.
 ///
 /// Daemon lists are validated against the registered daemon names only —
 /// deliberately NOT against ProtocolRegistry::Entry::daemons, the

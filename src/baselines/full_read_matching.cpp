@@ -279,7 +279,10 @@ void FullReadMatching::execute(int action, ActionContext& ctx) const {
 
 bool MutualPrMatchingProblem::holds(const Graph& g,
                                     const Configuration& config) const {
-  return is_maximal_matching(g, extract_mutual_pr_edges(g, config));
+  // Mutual PR pairs never share an endpoint, so only maximality remains.
+  return every_edge_covered(g, [&](ProcessId p) {
+    return matching_pr_partner(g, config, p) >= 0;
+  });
 }
 
 }  // namespace sss

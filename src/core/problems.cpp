@@ -17,9 +17,10 @@ LegitimacyPredicate Problem::predicate() const {
 ColoringProblem::ColoringProblem(int color_var) : color_var_(color_var) {}
 
 bool ColoringProblem::holds(const Graph& g, const Configuration& config) const {
-  for (const auto& [a, b] : g.edges()) {
-    if (config.comm(a, color_var_) == config.comm(b, color_var_)) {
-      return false;
+  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+    const Value mine = config.comm(p, color_var_);
+    for (const ProcessId q : g.neighbors(p)) {
+      if (q > p && config.comm(q, color_var_) == mine) return false;
     }
   }
   return true;
@@ -28,13 +29,38 @@ bool ColoringProblem::holds(const Graph& g, const Configuration& config) const {
 MisProblem::MisProblem(int state_var) : state_var_(state_var) {}
 
 bool MisProblem::holds(const Graph& g, const Configuration& config) const {
-  return is_maximal_independent_set(g, extract_mis(g, config, state_var_));
+  // Per process at once: a Dominator has no Dominator neighbor
+  // (independence) and every other process has one (maximality).
+  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+    bool dominated = false;
+    for (const ProcessId q : g.neighbors(p)) {
+      if (config.comm(q, state_var_) == MisProtocol::kDominator) {
+        dominated = true;
+        break;
+      }
+    }
+    if (dominated == (config.comm(p, state_var_) == MisProtocol::kDominator)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 MatchingProblem::MatchingProblem() = default;
 
 bool MatchingProblem::holds(const Graph& g, const Configuration& config) const {
-  return is_maximal_matching(g, extract_matching(g, config));
+  // A matched edge is a mutual PR pair married from at least one side
+  // (PRmarried(p) means exactly that, seen from p). No process can be in
+  // two such pairs, so the matched set is always a matching and only
+  // maximality remains to check.
+  return every_edge_covered(g, [&](ProcessId p) {
+    const ProcessId q = matching_pr_partner(g, config, p);
+    return q >= 0 &&
+           (config.comm(p, MatchingProtocol::kPrVar) ==
+                config.internal_var(p, MatchingProtocol::kCurVar) ||
+            config.comm(q, MatchingProtocol::kPrVar) ==
+                config.internal_var(q, MatchingProtocol::kCurVar));
+  });
 }
 
 std::vector<int> extract_colors(const Graph& g, const Configuration& config,
@@ -66,6 +92,18 @@ bool matching_pr_married(const Graph& g, const Configuration& config,
          static_cast<Value>(g.local_index_of(q, p));
 }
 
+ProcessId matching_pr_partner(const Graph& g, const Configuration& config,
+                              ProcessId p) {
+  const Value pr = config.comm(p, MatchingProtocol::kPrVar);
+  if (pr == 0) return -1;
+  const ProcessId q = g.neighbor(p, static_cast<NbrIndex>(pr));
+  return config.comm(q, MatchingProtocol::kPrVar) ==
+                 static_cast<Value>(
+                     g.mirror_index(p, static_cast<NbrIndex>(pr)))
+             ? q
+             : -1;
+}
+
 std::vector<Edge> extract_matching(const Graph& g,
                                    const Configuration& config) {
   std::vector<Edge> matched;
@@ -73,9 +111,10 @@ std::vector<Edge> extract_matching(const Graph& g,
     if (!matching_pr_married(g, config, p)) continue;
     const Value pr = config.comm(p, MatchingProtocol::kPrVar);
     const ProcessId q = g.neighbor(p, static_cast<NbrIndex>(pr));
-    const Edge e{std::min(p, q), std::max(p, q)};
-    if (std::find(matched.begin(), matched.end(), e) == matched.end()) {
-      matched.push_back(e);
+    // A married q is married to p, so the pair is recorded once, at the
+    // smaller endpoint.
+    if (p < q || !matching_pr_married(g, config, q)) {
+      matched.emplace_back(std::min(p, q), std::max(p, q));
     }
   }
   return matched;

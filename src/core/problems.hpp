@@ -7,6 +7,18 @@
 /// R iff it conforms to R (Section 2.1). These classes evaluate R directly
 /// on the shared variables, so they can audit any configuration — including
 /// the stitched counterexamples of the impossibility module.
+///
+/// Cost contract of every `Problem::holds` (here, in
+/// verify/tree_predicates.hpp, verify/forest_predicates.hpp and the
+/// baselines): one O(n + m) pass over the CSR adjacency with no heap
+/// allocation per call, and no mutable state, so one instance may be
+/// shared by any number of threads. The engine and the churn runtime call
+/// the bound predicate after steps, so this cost is paid per step.
+///
+/// The extractors and `is_*` validators below are the straightforward
+/// statement of each predicate (materialize the output, then check it).
+/// They allocate and are not on any hot path; they are the reference the
+/// tests compare every `holds` against.
 
 #include <memory>
 #include <string>
@@ -83,7 +95,13 @@ std::vector<bool> extract_mis(const Graph& g, const Configuration& config,
 bool matching_pr_married(const Graph& g, const Configuration& config,
                          ProcessId p);
 
-/// Edges {p,q} with inMM[q].p ∨ inMM[p].q (the paper's matched set).
+/// The neighbor q with PR.p = q and PR.q = p in MatchingProtocol's layout
+/// (p's mutual PR partner, regardless of cur), or -1 when there is none.
+ProcessId matching_pr_partner(const Graph& g, const Configuration& config,
+                              ProcessId p);
+
+/// Edges {p,q} with inMM[q].p ∨ inMM[p].q (the paper's matched set), in
+/// the order of their smaller endpoint.
 std::vector<Edge> extract_matching(const Graph& g,
                                    const Configuration& config);
 
@@ -91,6 +109,20 @@ std::vector<Edge> extract_matching(const Graph& g,
 /// this coincides with extract_matching (Lemma 7 forces PR.p = cur.p).
 std::vector<Edge> extract_mutual_pr_edges(const Graph& g,
                                           const Configuration& config);
+
+/// True iff every edge has at least one endpoint p with covered(p): the
+/// maximality half of a matching check, for matched sets that never share
+/// an endpoint by construction. Calls `covered` O(n + m) times.
+template <typename Covered>
+bool every_edge_covered(const Graph& g, Covered&& covered) {
+  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+    if (covered(p)) continue;
+    for (const ProcessId q : g.neighbors(p)) {
+      if (!covered(q)) return false;
+    }
+  }
+  return true;
+}
 
 // --- Independent validators (used by tests and checkers) -------------------
 

@@ -217,6 +217,7 @@ RunStats ChurnRunner<EngineT>::stabilize() {
   RunOptions run;
   run.max_steps = options_.stabilize_steps;
   run.stop_on_silence = true;
+  run.quiescence_patience = options_.quiescence_patience;
   run.legitimacy = legitimacy_;
   const RunStats s = engine_->run(run);
   stats_.initial_silent = s.silent;

@@ -89,6 +89,10 @@ struct ChurnOptions {
   int node_reset_weight = 0;
   int topology_weight = 0;
 
+  /// RunOptions::quiescence_patience of the initial stabilization (the
+  /// sweep's "quiescence_patience" run key; the plan copies it here); 0
+  /// picks max(16, n).
+  std::uint64_t quiescence_patience = 0;
   /// Comm-change-free steps before attempting the exact re-certification
   /// check; 0 picks max(16, n) like RunOptions::quiescence_patience.
   std::uint64_t recovery_patience = 0;

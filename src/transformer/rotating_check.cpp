@@ -133,10 +133,13 @@ void PairwiseSeparation::repair(ActionContext& ctx) const {
 bool PairwiseSeparation::separated(const Graph& g,
                                    const Configuration& config,
                                    int separation, int value_var) {
-  for (const auto& [a, b] : g.edges()) {
-    if (std::abs(config.comm(a, value_var) - config.comm(b, value_var)) <
-        static_cast<Value>(separation)) {
-      return false;
+  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+    const Value mine = config.comm(p, value_var);
+    for (const ProcessId q : g.neighbors(p)) {
+      if (q > p && std::abs(mine - config.comm(q, value_var)) <
+                       static_cast<Value>(separation)) {
+        return false;
+      }
     }
   }
   return true;

@@ -136,7 +136,8 @@ class PairwiseSeparation final : public PairwiseCheckable {
   int separation() const { return separation_; }
   int palette_size() const { return palette_size_; }
 
-  /// The separation predicate over a whole configuration.
+  /// The separation predicate over a whole configuration: one O(n + m)
+  /// pass over the adjacency, no allocation.
   static bool separated(const Graph& g, const Configuration& config,
                         int separation, int value_var = kValueVar);
 

@@ -5,6 +5,7 @@
 
 #include "core/spanning_forest_protocol.hpp"
 #include "support/require.hpp"
+#include "verify/tree_predicates.hpp"
 
 namespace sss {
 
@@ -12,17 +13,11 @@ BfsForestProblem::BfsForestProblem() = default;
 
 bool BfsForestProblem::holds(const Graph& g,
                              const Configuration& config) const {
-  const std::vector<ProcessId> roots = extract_forest_roots(g, config);
-  if (roots.empty()) return false;
-  std::vector<Value> dist(static_cast<std::size_t>(g.num_vertices()));
-  std::vector<Value> parent(static_cast<std::size_t>(g.num_vertices()));
-  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
-    dist[static_cast<std::size_t>(p)] =
-        config.comm(p, SpanningForestProtocol::kDistVar);
-    parent[static_cast<std::size_t>(p)] =
-        config.comm(p, SpanningForestProtocol::kParentVar);
-  }
-  return is_bfs_forest(g, roots, dist, parent);
+  return bfs_claims_certified(
+      g, config, SpanningForestProtocol::kDistVar,
+      SpanningForestProtocol::kParentVar, [&config](ProcessId p) {
+        return config.comm(p, SpanningForestProtocol::kRootVar) == 1;
+      });
 }
 
 std::vector<ProcessId> extract_forest_roots(const Graph& g,

@@ -8,6 +8,14 @@
 /// predicates ({D, PR, R} at SpanningForestProtocol::{kDistVar, kParentVar,
 /// kRootVar}), so one predicate serves both SPANNING-FOREST and its
 /// full-read comparator.
+///
+/// Cost contract (as in core/problems.hpp): `holds` is O(n + m) over the
+/// CSR adjacency, allocates nothing per call and keeps no mutable state,
+/// so one instance may be shared across threads; it checks the claimed
+/// distances with the local certificate `bfs_claims_certified`
+/// (verify/tree_predicates.hpp) instead of running a BFS. The extractors
+/// and `is_bfs_forest` below compute the true distances and compare; they
+/// are the reference the tests hold the predicate to.
 
 #include <string>
 #include <vector>
@@ -48,9 +56,8 @@ std::vector<int> multi_source_bfs_distances(const Graph& g,
 
 /// True iff `dist`/`parent` encode the BFS forest of `roots`: dist equals
 /// the multi-source BFS distance everywhere, roots have no parent, and
-/// every non-root parent channel points one level down. The predicate
-/// class reduces to this after pulling the layout out of the
-/// configuration.
+/// every non-root parent channel points one level down. The reference
+/// BfsForestProblem is tested against.
 bool is_bfs_forest(const Graph& g, const std::vector<ProcessId>& roots,
                    const std::vector<Value>& dist,
                    const std::vector<Value>& parent);

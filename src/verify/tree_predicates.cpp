@@ -12,15 +12,9 @@ BfsTreeProblem::BfsTreeProblem() = default;
 bool BfsTreeProblem::holds(const Graph& g, const Configuration& config) const {
   const ProcessId root = extract_bfs_root(g, config);
   if (root < 0) return false;
-  std::vector<Value> dist(static_cast<std::size_t>(g.num_vertices()));
-  std::vector<Value> parent(static_cast<std::size_t>(g.num_vertices()));
-  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
-    dist[static_cast<std::size_t>(p)] =
-        config.comm(p, BfsTreeProtocol::kDistVar);
-    parent[static_cast<std::size_t>(p)] =
-        config.comm(p, BfsTreeProtocol::kParentVar);
-  }
-  return is_bfs_tree(g, root, dist, parent);
+  return bfs_claims_certified(g, config, BfsTreeProtocol::kDistVar,
+                              BfsTreeProtocol::kParentVar,
+                              [root](ProcessId p) { return p == root; });
 }
 
 LeaderElectionProblem::LeaderElectionProblem() = default;
@@ -38,15 +32,9 @@ bool LeaderElectionProblem::holds(const Graph& g,
     if (id == agreed) owner = p;
   }
   if (owner < 0) return false;
-  std::vector<Value> dist(static_cast<std::size_t>(g.num_vertices()));
-  std::vector<Value> parent(static_cast<std::size_t>(g.num_vertices()));
-  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
-    dist[static_cast<std::size_t>(p)] =
-        config.comm(p, LeaderElectionProtocol::kDistVar);
-    parent[static_cast<std::size_t>(p)] =
-        config.comm(p, LeaderElectionProtocol::kParentVar);
-  }
-  return is_bfs_tree(g, owner, dist, parent);
+  return bfs_claims_certified(g, config, LeaderElectionProtocol::kDistVar,
+                              LeaderElectionProtocol::kParentVar,
+                              [owner](ProcessId p) { return p == owner; });
 }
 
 ProcessId extract_bfs_root(const Graph& g, const Configuration& config) {

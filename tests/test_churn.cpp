@@ -313,6 +313,26 @@ TEST(ChurnRunner, StatsAreInternallyConsistent) {
             stats.recovery_rounds_percentile(99.0));
 }
 
+TEST(ChurnRunner, StabilizationHonorsQuiescencePatience) {
+  // Coloring keeps rotating its cur pointers after the last color change,
+  // so the run only ends when the patience-paced check certifies silence:
+  // with patience 4 that is within 4 quiet steps of the silence point,
+  // where the max(16, n) default would idle at least 16.
+  const auto problem = ProblemRegistry::instance().make("vertex-coloring");
+  const Graph g = grid(4, 5);
+  const auto protocol = make_registry_protocol("coloring", g);
+  ChurnOptions options;
+  options.period = 50;
+  options.window_steps = 100;
+  options.quiescence_patience = 4;
+  ChurnRunner<Engine> runner(g, *protocol, "central-rr", 7, options,
+                             problem->predicate());
+  const RunStats s = runner.stabilize();
+  ASSERT_TRUE(s.silent);
+  EXPECT_GE(s.steps, s.steps_to_silence);
+  EXPECT_LE(s.steps - s.steps_to_silence, 4u);
+}
+
 TEST(ChurnRunner, BorrowedModeRejectsTopologyChurn) {
   const Graph g = path(4);
   const auto protocol = make_registry_protocol("coloring", g);

@@ -254,6 +254,41 @@ TEST(MatchingProtocol, MatchedEdgesAgreeAcrossExtractors) {
             extract_mutual_pr_edges(g, engine.config()));
 }
 
+TEST(MatchingProtocol, ExtractMatchingRecordsEachPairOnceInOrder) {
+  // path(8): channel 1 faces the lower id, channel 2 the higher one.
+  const Graph g = path(8);
+  const MatchingProtocol protocol(g, greedy_coloring(g));
+  Configuration config(g, protocol.spec());
+  const auto point = [&](ProcessId p, Value pr, Value cur) {
+    config.set_comm(p, MatchingProtocol::kPrVar, pr);
+    config.set_internal(p, MatchingProtocol::kCurVar, cur);
+  };
+  point(0, 0, 1);
+  point(1, 2, 1);  // {1,2}: married only at 2 (1's cur looks away)
+  point(2, 1, 1);
+  point(3, 2, 2);  // {3,4}: married at both ends
+  point(4, 1, 1);
+  point(5, 2, 2);  // {5,6}: married only at 5
+  point(6, 1, 2);
+  point(7, 0, 1);
+  EXPECT_FALSE(matching_pr_married(g, config, 1));
+  EXPECT_TRUE(matching_pr_married(g, config, 2));
+  EXPECT_TRUE(matching_pr_married(g, config, 3));
+  EXPECT_TRUE(matching_pr_married(g, config, 4));
+  EXPECT_TRUE(matching_pr_married(g, config, 5));
+  EXPECT_FALSE(matching_pr_married(g, config, 6));
+  // Each pair once, ordered by its first married endpoint, as the
+  // quadratic de-duplicating scan produced it.
+  const std::vector<Edge> expected = {{1, 2}, {3, 4}, {5, 6}};
+  EXPECT_EQ(extract_matching(g, config), expected);
+  EXPECT_TRUE(MatchingProblem().holds(g, config));
+
+  point(2, 2, 2);  // 2 now points at 3, which points back at 4
+  EXPECT_EQ(extract_matching(g, config),
+            (std::vector<Edge>{{3, 4}, {5, 6}}));
+  EXPECT_FALSE(MatchingProblem().holds(g, config));  // {0,1} uncovered
+}
+
 // Theorem 8's mechanism: married processes become 1-stable; free processes
 // keep scanning all neighbors.
 TEST(MatchingProtocol, MarriedProcessesAreOneStable) {

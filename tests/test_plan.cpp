@@ -333,6 +333,26 @@ TEST(Plan, ChurnSweepsInheritTheComposedProblem) {
   EXPECT_EQ(plan.items[1].problem->name(), "maximal-independent-set");
 }
 
+TEST(Plan, ChurnSweepsCarryTheQuiescencePatience) {
+  // The run key paces the churn trial's initial stabilization too, so
+  // every consumer of item.churn (batch runner, serve) sees it.
+  const ExperimentPlan plan = plan_from_manifest_text(R"({
+    "name": "churn-patience",
+    "defaults": {"quiescence_patience": 4, "churn": {"period": 64}},
+    "sweeps": [
+      {"graphs": [{"family": "cycle", "n": 6}],
+       "protocols": [{"name": "coloring"}]},
+      {"graphs": [{"family": "cycle", "n": 6}],
+       "protocols": [{"name": "coloring"}],
+       "quiescence_patience": 0}
+    ]
+  })");
+  ASSERT_EQ(plan.items.size(), 2u);
+  ASSERT_TRUE(plan.items[0].churn_enabled);
+  EXPECT_EQ(plan.items[0].churn.quiescence_patience, 4u);
+  EXPECT_EQ(plan.items[1].churn.quiescence_patience, 0u);
+}
+
 TEST(Plan, NestedProtocolSpecErrorsNameTheirPosition) {
   const auto expand_error = [](const std::string& text) -> std::string {
     try {
